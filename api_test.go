@@ -343,6 +343,10 @@ func TestAutoSplitAPI(t *testing.T) {
 	}
 }
 
+// TestStripedIntraAPIEquivalence: subjects past the long-sequence
+// threshold take the striped intra-task kernel; with routing disabled the
+// same subjects run through the lane kernels, and every score must agree,
+// on the 16-bit and the 8-bit first pass alike.
 func TestStripedIntraAPIEquivalence(t *testing.T) {
 	long := make([]byte, 3300)
 	for i := range long {
@@ -351,27 +355,27 @@ func TestStripedIntraAPIEquivalence(t *testing.T) {
 	seqs := []Sequence{
 		NewSequence("long", string(long)),
 		NewSequence("short", "MKWVLAARND"),
+		NewSequence("longer", string(long)+string(long[:900])),
 	}
 	db, err := NewDatabase(seqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := NewSequence("q", string(long[100:400]))
-	wave, err := db.Search(q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	striped, err := db.Search(q, Options{IntraKernel: "striped"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range wave.Scores {
-		if wave.Scores[i] != striped.Scores[i] {
-			t.Fatalf("intra kernels disagree at %d: %d vs %d", i, wave.Scores[i], striped.Scores[i])
+	for _, v := range []string{VariantIntrinsicSP, VariantIntrinsicSP8} {
+		striped, err := db.Search(q, Options{Variant: v})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := db.Search(q, Options{IntraKernel: "systolic"}); err == nil {
-		t.Fatal("bogus intra kernel accepted")
+		lanes, err := db.Search(q, Options{Variant: v, LongSeqThreshold: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range lanes.Scores {
+			if striped.Scores[i] != lanes.Scores[i] {
+				t.Fatalf("%s: long path and lane kernels disagree at %d: %d vs %d", v, i, striped.Scores[i], lanes.Scores[i])
+			}
+		}
 	}
 }
 

@@ -310,9 +310,10 @@ func BenchmarkKernelDNANuc(b *testing.B) {
 	b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcells/s")
 }
 
-// Intra-task kernel microbenchmarks: Farrar's striped layout vs the
-// anti-diagonal wavefront on one long pair (the two long-sequence engines).
-func benchIntra(b *testing.B, striped bool) {
+// BenchmarkIntraStriped measures the striped long-sequence kernel on one
+// long pair through the engine: an 8000-residue subject routed past the
+// long-sequence threshold against a 1000-residue query.
+func BenchmarkIntraStriped(b *testing.B) {
 	seqs := datagen.Generate(datagen.Config{Sequences: 1, Seed: 17, MeanLen: 8000, SigmaLog: 0.01, MaxLen: 9000})
 	subject := seqs[0]
 	q := profile.NewQuery(datagen.GenerateQueries(7)[9].Residues, submat.BLOSUM62) // 1000 aa
@@ -322,8 +323,7 @@ func benchIntra(b *testing.B, striped bool) {
 		b.Fatal(err)
 	}
 	opt := core.SearchOptions{
-		Params:       core.Params{Variant: core.IntrinsicSP, GapOpen: 10, GapExtend: 2, Blocked: true},
-		StripedIntra: striped,
+		Params: core.Params{Variant: core.IntrinsicSP, GapOpen: 10, GapExtend: 2, Blocked: true},
 	}
 	cells := float64(q.Len()) * float64(subject.Len())
 	b.ResetTimer()
@@ -335,9 +335,6 @@ func benchIntra(b *testing.B, striped bool) {
 	b.StopTimer()
 	b.ReportMetric(cells*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcells/s")
 }
-
-func BenchmarkIntraWavefront(b *testing.B) { benchIntra(b, false) }
-func BenchmarkIntraStriped(b *testing.B)   { benchIntra(b, true) }
 
 // BenchmarkSearchEndToEnd measures the full parallel functional search
 // (Algorithm 1) on the host.

@@ -16,7 +16,8 @@
 // gcups_source field records whether the normalised value came from a
 // deterministic simulated metric ("sim") or from host wall time ("wall").
 //
-// Diff mode compares the gcups of benchmarks present in both artifacts.
+// Diff mode compares the gcups of benchmarks present in both artifacts
+// and lists each baseline benchmark the new artifact lacks as missing.
 // "sim"-sourced values come from the device models and are identical on
 // any machine, so any drop beyond -max-regress is a real cost-model or
 // kernel regression. "wall"-sourced values measure host throughput —
@@ -34,6 +35,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -121,10 +123,13 @@ func readArtifact(path string) (*Artifact, error) {
 	return &art, nil
 }
 
-// diff compares two artifacts on the benchmarks they share: "sim"-sourced
+// diff writes the comparison of two artifacts on the benchmarks they share to w: "sim"-sourced
 // gcups gate at maxRegress, "wall"-sourced at maxRegressWall (negative
-// disables wall gating). It returns the number of gated regressions.
-func diff(oldArt, newArt *Artifact, maxRegress, maxRegressWall float64) int {
+// disables wall gating). Each baseline benchmark absent from the new
+// artifact prints as "missing", so a deleted or renamed benchmark leaves
+// a trace in the report; a missing one is not gated. It returns the
+// number of gated regressions.
+func diff(w io.Writer, oldArt, newArt *Artifact, maxRegress, maxRegressWall float64) int {
 	oldBy := make(map[string]Benchmark, len(oldArt.Benchmarks))
 	for _, b := range oldArt.Benchmarks {
 		oldBy[b.Name] = b
@@ -141,7 +146,7 @@ func diff(oldArt, newArt *Artifact, maxRegress, maxRegressWall float64) int {
 		newBy[b.Name] = b
 	}
 	regressions := 0
-	fmt.Printf("%-40s %12s %12s %8s  %s\n", "benchmark", "old gcups", "new gcups", "delta", "verdict")
+	fmt.Fprintf(w, "%-40s %12s %12s %8s  %s\n", "benchmark", "old gcups", "new gcups", "delta", "verdict")
 	for _, name := range names {
 		o, n := oldBy[name], newBy[name]
 		if o.GCUPS == 0 || n.GCUPS == 0 {
@@ -164,7 +169,17 @@ func diff(oldArt, newArt *Artifact, maxRegress, maxRegressWall float64) int {
 			verdict = fmt.Sprintf("REGRESSION (> %.0f%%)", maxRegress*100)
 			regressions++
 		}
-		fmt.Printf("%-40s %12.3f %12.3f %+7.1f%%  %s\n", name, o.GCUPS, n.GCUPS, delta*100, verdict)
+		fmt.Fprintf(w, "%-40s %12.3f %12.3f %+7.1f%%  %s\n", name, o.GCUPS, n.GCUPS, delta*100, verdict)
+	}
+	var missing []string
+	for name := range oldBy {
+		if _, ok := newBy[name]; !ok {
+			missing = append(missing, name)
+		}
+	}
+	sort.Strings(missing)
+	for _, name := range missing {
+		fmt.Fprintf(w, "%-40s %12.3f %12s %8s  %s\n", name, oldBy[name].GCUPS, "-", "-", "missing")
 	}
 	return regressions
 }
@@ -191,7 +206,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(2)
 		}
-		if n := diff(oldArt, newArt, *maxRegress, *maxRegressWall); n > 0 {
+		if n := diff(os.Stdout, oldArt, newArt, *maxRegress, *maxRegressWall); n > 0 {
 			fmt.Fprintf(os.Stderr, "benchjson: %d GCUPS regression(s) beyond threshold (sim %.0f%%, wall %.0f%%)\n",
 				n, *maxRegress*100, *maxRegressWall*100)
 			os.Exit(1)

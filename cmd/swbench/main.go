@@ -11,7 +11,8 @@
 //	swbench -devices xeon,phi -db db.swdb
 //
 // By default the full 541,561-sequence synthetic Swiss-Prot is simulated
-// (fast: the device models consume shape information only; see DESIGN.md).
+// (fast: the device models consume shape information only; see
+// internal/device).
 // GCUPS values are simulated-device throughput; run cmd/swverify or the
 // examples for functional (wall-clock) execution.
 package main
@@ -76,7 +77,7 @@ func main() {
 	fmt.Fprintf(out, "# swbench: %s\n", w)
 	fmt.Fprintf(out, "# devices: Xeon (16c/32t, 256-bit) + Xeon Phi (60c/240t, 512-bit); BLOSUM62, gaps 10/2\n")
 	fmt.Fprintf(out, "# vec backend: %s\n", device.HostSIMD())
-	fmt.Fprintf(out, "# GCUPS below are simulated-device throughput (see DESIGN.md section 6)\n\n")
+	fmt.Fprintf(out, "# GCUPS below are simulated-device throughput (device cost model, internal/device)\n\n")
 
 	var figs []*figures.Figure
 	if *fig == "all" {

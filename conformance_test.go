@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"heterosw/internal/core"
 	"heterosw/internal/datagen"
 	"heterosw/internal/vec"
 )
@@ -29,13 +30,23 @@ const confDBSeqs = 96
 
 // confSetup writes the shared conformance corpus once per test: a FASTA
 // file, the .swdb index built from it, and two queries (one a planted
-// fragment of a database sequence, one unrelated).
-func confSetup(t *testing.T) (fastaPath, swdbPath string, queries []Sequence) {
+// fragment of a database sequence, one unrelated). With long set, the
+// last three subjects are replaced by ~3600-residue ones, past the
+// long-sequence threshold, so the striped long path serves them.
+func confSetup(t *testing.T, long bool) (fastaPath, swdbPath string, queries []Sequence) {
 	t.Helper()
 	dir := t.TempDir()
 	seqs := wrapSeqs(datagen.Generate(datagen.Config{
 		Sequences: confDBSeqs, Seed: 4242, MeanLen: 90, SigmaLog: 0.5, MaxLen: 4000,
 	}))
+	if long {
+		for i, s := range datagen.Generate(datagen.Config{Sequences: 3, Seed: 4243, MeanLen: 3600, SigmaLog: 0.05, MaxLen: 4000}) {
+			if s.Len() <= core.DefaultLongSeqThreshold {
+				t.Fatalf("long conformance subject has %d residues, not past the threshold", s.Len())
+			}
+			seqs[confDBSeqs-1-i] = NewSequence(fmt.Sprintf("LONG%d", i), s.String())
+		}
+	}
 	fastaPath = filepath.Join(dir, "conf.fasta")
 	if err := WriteFASTAFile(fastaPath, seqs); err != nil {
 		t.Fatal(err)
@@ -182,7 +193,8 @@ func confTopK(rep ReportOptions) int {
 // reporting phases, each asserted byte-identical between the FASTA load
 // path and the .swdb load path on all five entry points.
 func TestConformanceFASTAvsIndex(t *testing.T) {
-	fastaPath, swdbPath, queries := confSetup(t)
+	fastaPath, swdbPath, queries := confSetup(t, false)
+	longFASTA, longSWDB, longQueries := confSetup(t, true)
 
 	type confCase struct {
 		name string
@@ -202,18 +214,26 @@ func TestConformanceFASTAvsIndex(t *testing.T) {
 			ReportOptions{TopK: 5, Alignments: true}},
 		{"guided-evalue", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP}, Dist: "guided"},
 			ReportOptions{TopK: 5, Alignments: true, EValues: true}},
-		{"ladder-striped-intra", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP8, IntraKernel: "striped"}, Dist: "dynamic"},
+		{"ladder-striped-intra", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP8}, Dist: "dynamic"},
 			ReportOptions{TopK: 5}},
 		{"three-device", ClusterOptions{Options: Options{Variant: VariantIntrinsicSP}, Devices: []DeviceKind{DeviceXeon, DevicePhi, DevicePhi}},
 			ReportOptions{TopK: 5}},
 	}
 
+	// Cases served from the corpus whose longest subjects pass the
+	// long-sequence threshold, so the striped long path scores them.
+	longCorpus := map[string]bool{"ladder-striped-intra": true}
+
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			fasta, swdb, queries := fastaPath, swdbPath, queries
+			if longCorpus[tc.name] {
+				fasta, swdb, queries = longFASTA, longSWDB, longQueries
+			}
 			results := make(map[string]map[string][]byte, 2)
 			for _, load := range []struct{ kind, path string }{
-				{"fasta", fastaPath},
-				{"swdb", swdbPath},
+				{"fasta", fasta},
+				{"swdb", swdb},
 			} {
 				db, err := LoadDatabaseFile(load.path)
 				if err != nil {
@@ -252,7 +272,7 @@ func TestConformanceNativeVsPortable(t *testing.T) {
 	if !vec.Native() {
 		t.Skipf("vec backend is %q; native vs portable conformance is vacuous", vec.Backend())
 	}
-	fastaPath, _, queries := confSetup(t)
+	fastaPath, _, queries := confSetup(t, false)
 
 	cases := []struct {
 		name string

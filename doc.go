@@ -11,9 +11,10 @@
 //     profile}), cache blocking, an adaptive precision ladder (an 8-bit
 //     biased first pass with twice the lanes per vector word, escalating
 //     saturated lanes 8 -> 16 -> 32 bits; select it with the
-//     "intrinsic-SP-8bit" / "intrinsic-QP-8bit" variant names), and
-//     intra-task handling of extremely long subjects — see
-//     Database.Search;
+//     "intrinsic-SP-8bit" / "intrinsic-QP-8bit" variant names), and a
+//     native striped intra-task kernel for subjects longer than 3072
+//     residues (Options.LongSeqThreshold), which the search runs first,
+//     longest first — see Database.Search;
 //   - the heterogeneous CPU+coprocessor execution of the paper's
 //     Algorithm 2, with a static workload split and overlapped offload —
 //     see Database.SearchHetero;
@@ -191,7 +192,7 @@
 // database with -db; cmd/swserve fronts a cluster with the JSON search
 // API (/search, /batch, /healthz) — give it a .swdb and restarts are
 // near-instant, a -shards node and a -manifest/-nodes coordinator make
-// it multi-node — and examples/loadgen load-tests it; see DESIGN.md for
-// the system inventory and EXPERIMENTS.md for the paper-versus-measured
-// comparison.
+// it multi-node — and examples/loadgen load-tests it. README.md is the
+// system inventory; wallbench/ measures the library end to end in wall
+// clock time.
 package heterosw

@@ -34,10 +34,16 @@ type partKey struct {
 }
 
 // partition is a cached work decomposition: inter-task lane groups plus
-// the long sequences routed to the intra-task kernel.
+// the long sequences routed to the intra-task kernel. Work item i is
+// groups[i] for i < len(groups), else long[i-len(groups)].
 type partition struct {
 	groups []*seqdb.LaneGroup
 	long   []int // database indices (caller order)
+	// order is the execution order of the work items: the long subjects
+	// first, longest first, then the lane groups. The database sorts
+	// ascending, so item order would hand the longest subject out last
+	// and leave the other workers idle while one finishes it.
+	order []int
 }
 
 // NewEngine builds an engine over a database for a device model.
@@ -70,7 +76,17 @@ func (e *Engine) partitionFor(lanes, longThreshold int) *partition {
 		return p
 	}
 	groups, long := e.db.Partition(lanes, longThreshold)
-	p := &partition{groups: groups, long: long}
+	order := make([]int, 0, len(groups)+len(long))
+	for k := range long {
+		order = append(order, len(groups)+k)
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return e.db.Seq(long[order[a]-len(groups)]).Len() > e.db.Seq(long[order[b]-len(groups)]).Len()
+	})
+	for i := range groups {
+		order = append(order, i)
+	}
+	p := &partition{groups: groups, long: long, order: order}
 	e.parts[key] = p
 	return p
 }
@@ -94,14 +110,9 @@ type SearchOptions struct {
 	// (GOMAXPROCS when 0). It does not affect simulated time.
 	Workers int
 	// LongSeqThreshold routes database sequences longer than this to the
-	// intra-task kernel (see DefaultLongSeqThreshold). 0 selects the
-	// default for vector variants; negative disables routing.
+	// intra-task striped kernel (see DefaultLongSeqThreshold). 0 selects
+	// the default for vector variants; negative disables routing.
 	LongSeqThreshold int
-	// StripedIntra selects Farrar's striped kernel [13] instead of the
-	// anti-diagonal wavefront for routed long sequences. Scores are
-	// identical; the kernels differ in memory access shape and real
-	// (wall-clock) throughput.
-	StripedIntra bool
 	// TopK truncates the hit list (all hits when 0).
 	TopK int
 }
@@ -225,8 +236,17 @@ func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, e
 	costs := make([]float64, items)
 	scores := make([]int32, e.db.Len())
 
+	// The striped profile of the query, shared read only by the workers
+	// that run long subjects.
+	var sprof []int16
+	if len(long) > 0 {
+		sprof = stripedProfile(qp)
+	}
+	// Items run in part.order; costs stays in item order, so the
+	// simulated schedule does not depend on the execution order.
 	start := time.Now()
-	sched.Parallel(items, workers, func(i, worker int) {
+	sched.Parallel(items, workers, func(k, worker int) {
+		i := part.order[k]
 		if bufs[worker] == nil {
 			bufs[worker] = NewBuffers(lanes)
 		}
@@ -243,7 +263,8 @@ func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, e
 			costs[i] = e.dev.GroupCost(class, m, shape, threads, st.OverflowCells)
 			return
 		}
-		// Long sequences: intra-task kernel, one chunk per sequence.
+		// Long sequences: intra-task striped kernel, one chunk per
+		// sequence, at every first-pass precision.
 		idx := long[i-len(groups)]
 		subject := e.db.Seq(idx).Residues
 		cells := int64(m) * int64(len(subject))
@@ -251,11 +272,7 @@ func (e *Engine) Search(query *sequence.Sequence, opt SearchOptions) (*Result, e
 			Cells: cells, PaddedCells: cells, IntraCells: cells,
 			Columns: int64(len(subject)), Alignments: 1, Groups: 1,
 		}
-		if opt.StripedIntra {
-			scores[idx] = alignPairStripedLadder(qp, subject, opt.Params, prec8, bufs[worker], &st)
-		} else {
-			scores[idx] = alignPairIntra(qp, subject, opt.Params, bufs[worker])
-		}
+		scores[idx] = alignPairLong(qp, sprof, subject, opt.Params, bufs[worker], &st)
 		statsPer[worker].Add(st)
 		shape := device.Shape{Width: len(subject), Lanes: 1, Residues: int64(len(subject)), Intra: true}
 		costs[i] = e.dev.GroupCost(class, m, shape, threads, 0)

@@ -90,38 +90,32 @@ type Buffers struct {
 
 	// 16-bit state for the intrinsic kernels. he16 is one contiguous slab
 	// holding both the H and E tile arrays ((rows+1)*lanes each) so the
-	// fused column steps walk a single cache-friendly block; h16/e16 are
-	// the striped kernel's row scratch.
-	h16, e16    []int16 // striped row state, tiles * lanes
+	// fused column steps walk a single cache-friendly block.
 	he16        []int16 // intrinsic tile state, 2 * (rows+1) * lanes
 	hb16, fb16  []int16 // block boundary rows, width * lanes
 	f16, diag16 vec.I16 // lane temporaries
 	max16       vec.I16
 
 	// 8-bit state for the ladder's first pass.
-	h8, e8           []uint8 // striped row state, tiles * lanes
 	he8              []uint8 // intrinsic tile state, 2 * (rows+1) * lanes
 	hb8, fb8         []uint8 // block boundary rows, width * lanes
 	f8, diag8        vec.U8  // lane temporaries
 	max8             vec.U8
 	sr8              *profile.ScoreRows8
 	lane16H, lane16E []int16 // 16-bit scalar recompute state, query length + 1
-	striped8         []uint8 // striped 8-bit profile scratch
 
-	// 32-bit state for the guided kernels.
+	// 32-bit state for the guided kernels and the scalar recomputation.
 	h32, e32     []int32
 	hb32, fb32   []int32
 	f32, max32   []int32
 	diag32, up32 []int32
 
-	// Scalar state for no-vec and overflow recomputation.
-	hS, fS []int32
+	sr *profile.ScoreRows
 
-	sr  *profile.ScoreRows
-	idx []uint8 // current column residues (lane view)
-
-	// Striped-kernel scratch.
-	striped []int16
+	// Striped long-path state: the two H columns, E and the 16-lane
+	// tracker.
+	sH0, sH1, sE []int16
+	sMax         []int16
 }
 
 // NewBuffers allocates kernel scratch for a lane width.
@@ -136,7 +130,6 @@ func NewBuffers(lanes int) *Buffers {
 		diag32: make([]int32, lanes),
 		up32:   make([]int32, lanes),
 		sr:     profile.NewScoreRows(lanes),
-		idx:    make([]uint8, lanes),
 		f8:     make(vec.U8, lanes),
 		diag8:  make(vec.U8, lanes),
 		max8:   make(vec.U8, lanes),

@@ -91,12 +91,14 @@ func fuzzDatabase(raw []byte, sorted bool, alpha *alphabet.Alphabet) *seqdb.Data
 
 // FuzzKernelParity drives random queries and databases through every
 // scoring path — the scalar kernel, the guided and intrinsic lane kernels
-// (16-bit with 32-bit overflow escalation), and both intra-task kernels
-// (anti-diagonal wavefront and Farrar's striped layout) — and requires
-// bit-identical scores against the swalign oracle. The seed corpus covers
-// the int16 saturation boundary, 1-residue sequences on both sides,
-// lane-count edges (one sequence more than a full lane group) and zero
-// gap penalties (the lazy-F worst case).
+// (16-bit with 32-bit overflow escalation, and the 8-bit ladder), and the
+// striped long-sequence kernel on every subject — and requires
+// bit-identical scores against the swalign oracle, on the native and the
+// portable vec backend. The seed corpus covers the int16 saturation
+// boundary, 1-residue sequences on both sides, lane-count edges (one
+// sequence more than a full lane group), query lengths on both sides of
+// the striped kernel's 16-lane stripe boundaries and zero gap penalties
+// (the lazy-F worst case).
 func FuzzKernelParity(f *testing.F) {
 	w := byte(17) // 'W', the highest-scoring self-match in BLOSUM62
 	wRun := bytes.Repeat([]byte{w}, 3000)
@@ -137,6 +139,16 @@ func FuzzKernelParity(f *testing.F) {
 	f.Add(wRun[:48], lane17, uint8(6), paperPens, uint8(1))
 	f.Add(w23, append(bytes.Repeat([]byte{w, fuzzSeqDelim}, 32), w23...), uint8(7), paperPens, uint8(2)) // 33 lanes, saturating tail lane
 	f.Add(wRun[:128], bytes.Repeat([]byte{w, fuzzSeqDelim}, 31), uint8(7), uint8(0), uint8(0))           // 31 lanes: just under the u8 group width
+
+	// Striped long-path edges: query lengths one short of, at and one
+	// past a multiple of the 16 stripe lanes, with zero extend (F never
+	// decays, the most lazy-F passes) and zero open.
+	mixed := []byte("MKWVLAARNDCQEGHILKMFPSTWYVMKWVLAARNDCQEGHIL")
+	for _, m := range []int{15, 16, 17, 31, 33} {
+		f.Add(mixed[:m], append(append([]byte{}, mixed...), append([]byte{fuzzSeqDelim}, mixed[5:]...)...), uint8(3), uint8(10), uint8(0))
+	}
+	f.Add(mixed[:33], mixed, uint8(5), uint8(4), uint8(0)) // extend 0
+	f.Add(mixed[:17], mixed, uint8(2), uint8(0), uint8(1)) // open 0, extend 0
 
 	lanesTable := []int{1, 2, 3, 4, 8, 16, 32, 64}
 	blockTable := []int{0, 1, 7, 64}
@@ -213,26 +225,24 @@ func FuzzKernelParity(f *testing.F) {
 			vec.ForcePortable(prev)
 		}
 
-		buf := NewBuffers(stripedLanes8)
-		intra := make([]int32, db.Len())
-		striped := make([]int32, db.Len())
-		ladder := make([]int32, db.Len())
-		p8 := p
-		p8.Variant = IntrinsicSP
-		p8.Prec = Prec8
+		// The striped long path on every subject, whatever its length:
+		// native == portable == oracle pair by pair.
+		long := make([]int32, db.Len())
+		longPortable := make([]int32, db.Len())
+		sprof := stripedProfile(qp)
+		buf := NewBuffers(vec.StripedLanes)
+		var st Stats
 		for i := 0; i < db.Len(); i++ {
-			subject := db.Seq(i).Residues
-			intra[i] = alignPairIntra(qp, subject, p, buf)
-			striped[i] = alignPairStriped(qp, subject, p, buf)
-			if ladderOK {
-				var st Stats
-				ladder[i] = alignPairStripedLadder(qp, subject, p8, qp.Bias8Viable(), buf, &st)
-			}
+			long[i] = alignPairLong(qp, sprof, db.Seq(i).Residues, p, buf, &st)
 		}
-		check("intra-wavefront", intra)
-		check("intra-striped", striped)
-		if ladderOK {
-			check("intra-striped-8bit", ladder)
+		check("long-striped", long)
+		if vec.Native() {
+			prev := vec.ForcePortable(true)
+			for i := 0; i < db.Len(); i++ {
+				longPortable[i] = alignPairLong(qp, sprof, db.Seq(i).Residues, p, buf, &st)
+			}
+			vec.ForcePortable(prev)
+			check("long-striped [portable]", longPortable)
 		}
 
 		// DNA leg: the same raw input mapped onto the 15-letter IUPAC

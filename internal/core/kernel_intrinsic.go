@@ -110,7 +110,7 @@ func alignGroupIntrinsic(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *Bu
 				h32 = grow32(&buf.h32, M+1)
 				e32 = grow32(&buf.e32, M+1)
 			}
-			scores[l] = scalarLane(q, g, l, p, h32, e32)
+			scores[l] = scalarLane(q, g.Interleaved[l:], g.Lanes, g.Lens[l], p, h32, e32)
 			st.Overflows++
 			st.OverflowCells += int64(M) * int64(g.Lens[l])
 		} else {

@@ -8,22 +8,23 @@ import (
 
 const negInf32 = int32(-(1 << 29))
 
-// scalarLane runs the plain 32-bit Smith-Waterman recurrence for a single
-// lane of an interleaved group. It is both the no-vec kernel body and the
-// recomputation path for lanes that saturate 16-bit arithmetic. h and e
-// must have at least len(q.Seq)+1 entries: h carries the previous column's
-// H values per query row, e the database-direction gap state per query row.
+// scalarLane runs the plain 32-bit Smith-Waterman recurrence for one
+// subject of n residues, residue j at res[j*stride]: a lane of an
+// interleaved group is res = g.Interleaved[lane:] with stride g.Lanes, a
+// contiguous long subject has stride 1. It is the no-vec kernel body and
+// the one exact recomputation path for every 16-bit saturation, from the
+// lane kernels and the striped long path alike. h and e must have at least
+// len(q.Seq)+1 entries: h carries the previous column's H values per query
+// row, e the database-direction gap state per query row.
 //
 //sw:hotpath
-func scalarLane(q *profile.Query, g *seqdb.LaneGroup, lane int, p Params, h, e []int32) int32 {
+func scalarLane(q *profile.Query, res []uint8, stride, n int, p Params, h, e []int32) int32 {
 	m := q.Len()
-	n := g.Lens[lane]
 	if m == 0 || n == 0 {
 		return 0
 	}
 	qr := int32(p.GapOpen + p.GapExtend)
 	r := int32(p.GapExtend)
-	L := g.Lanes
 
 	for i := 0; i <= m; i++ {
 		h[i] = 0
@@ -31,7 +32,7 @@ func scalarLane(q *profile.Query, g *seqdb.LaneGroup, lane int, p Params, h, e [
 	}
 	best := int32(0)
 	for j := 0; j < n; j++ {
-		d := int(g.Interleaved[j*L+lane])
+		d := int(res[j*stride])
 		// The scalar SP/QP distinction is purely an access pattern (and
 		// cost-model) difference: both read V(q_i, d).
 		row := q.ExtRow(d) // V(*, d); symmetric matrix, so V(q_i,d) = row[q_i]
@@ -157,7 +158,7 @@ func alignGroupScalar(q *profile.Query, g *seqdb.LaneGroup, p Params) ([]int32, 
 		if g.SeqIdx[lane] < 0 {
 			continue
 		}
-		scores[lane] = scalarLane(q, g, lane, p, h, e)
+		scores[lane] = scalarLane(q, g.Interleaved[lane:], g.Lanes, g.Lens[lane], p, h, e)
 		cells := int64(m) * int64(g.Lens[lane])
 		st.Cells += cells
 		st.PaddedCells += cells

@@ -6,37 +6,34 @@ import (
 	"heterosw/internal/vec"
 )
 
-// alignPairStriped is Farrar's striped Smith-Waterman [13] — the
-// intra-task vectorisation the paper contrasts with its inter-task scheme —
-// implemented over the emulated 16-bit lanes with saturation escalation.
+// DefaultLongSeqThreshold is the database-sequence length above which the
+// engine switches from the inter-task lane kernel to the intra-task
+// striped kernel. The value follows CUDASW++ [14] (cited by the paper for
+// its database pre-processing), which routes subjects longer than 3072
+// residues to an intra-task path.
 //
-// The query is split into L segments of length t = ceil(M/L); vector
-// element k of stripe i covers query position k*t + i. The inner loop
-// walks stripes, so the F (query-direction gap) dependency crosses vector
-// elements only at segment boundaries; the main pass assumes no such flow
-// and the lazy-F loop afterwards propagates boundary-crossing gaps until
-// they can no longer raise any H. Scores saturating the int16 ceiling are
-// recomputed exactly by the 32-bit anti-diagonal kernel.
-//
-// stripedLanes is fixed at 16 (the Xeon model's width); the algorithm is
-// width-agnostic and the cost model charges intra-task work identically
-// for both intra kernels.
-const stripedLanes = 16
+// Rationale: in the inter-task scheme one database sequence occupies one
+// SIMD lane for its whole length, so a 35,213-residue Swiss-Prot entry
+// pins a lane (and its scheduler chunk) for N columns regardless of thread
+// count — at 240 threads that single chunk would dominate the makespan.
+// The paper is silent on this; the mature implementations in its
+// reference list handle it with an intra-task kernel, and so does this
+// engine.
+const DefaultLongSeqThreshold = 3072
 
-// stripedProfile builds the striped query profile for the current query:
-// for every residue index e, t stripe vectors of V(e, q[k*t+i]) with
-// padding positions scoring profile.PadScore. Layout:
-// prof[((e*t)+i)*L + k].
-//
-//sw:hotpath
-func stripedProfile(q *profile.Query, dst []int16, t int) []int16 {
-	L := stripedLanes
-	need := q.Width * t * L
-	if cap(dst) < need {
-		dst = make([]int16, need)
-	}
-	dst = dst[:need]
+// stripes is the stripe count t = ceil(m/16) of a query of length m.
+func stripes(m int) int { return (m + vec.StripedLanes - 1) / vec.StripedLanes }
+
+// stripedProfile builds the striped query profile: for every residue
+// index e, t = stripes(m) stripe vectors of V(e, q[k*t+i]) with padding
+// positions scoring profile.PadScore. Layout: prof[((e*t)+i)*L + k]. A
+// search builds it once per query and shares it, read only, between the
+// workers that run long subjects.
+func stripedProfile(q *profile.Query) []int16 {
+	const L = vec.StripedLanes
 	m := q.Len()
+	t := stripes(m)
+	dst := make([]int16, q.Width*t*L)
 	for e := 0; e < q.Width; e++ {
 		row := q.ExtRow(e)
 		base := e * t * L
@@ -54,294 +51,47 @@ func stripedProfile(q *profile.Query, dst []int16, t int) []int16 {
 	return dst
 }
 
-// vshift shifts a stripe vector one lane upward: element k receives
-// element k-1, element 0 receives the boundary value 0 for H (the caller
-// passes boundary explicitly for F). This is the element-shift that maps
-// the last stripe onto the first stripe's diagonal predecessors.
-func vshift(dst, src vec.I16, boundary int16) {
-	for k := len(src) - 1; k >= 1; k-- {
-		dst[k] = src[k-1]
-	}
-	dst[0] = boundary
-}
-
-// alignPairStriped computes the Smith-Waterman score of one pair,
-// recomputing saturated scores exactly with the 32-bit anti-diagonal
-// kernel.
-func alignPairStriped(q *profile.Query, subject []alphabet.Code, p Params, buf *Buffers) int32 {
-	best, saturated := alignPairStriped16(q, subject, p, buf)
-	if saturated {
-		return alignPairIntra(q, subject, p, buf)
-	}
-	return best
-}
-
-// alignPairStriped16 is the 16-bit striped pass; the second return value
-// reports int16 saturation (the score may be clipped and the caller must
-// recompute at 32 bits).
+// alignPairLong computes the Smith-Waterman score of one long subject:
+// Farrar's striped intra-task layout [13] (the vectorisation the paper
+// contrasts with its inter-task scheme), advanced one subject column per
+// vec.StepStriped16 call over prof, the query's stripedProfile. The
+// column state lives in buf, so every pair after a worker's first is
+// allocation-free. A pair whose 16-bit maximum reaches the int16 ceiling
+// may have clipped; it is recomputed exactly by the 32-bit scalar routine
+// the lane kernels escalate to, and counted in st.Overflows and
+// st.OverflowCells.
 //
 //sw:hotpath
-func alignPairStriped16(q *profile.Query, subject []alphabet.Code, p Params, buf *Buffers) (int32, bool) {
+func alignPairLong(q *profile.Query, prof []int16, subject []alphabet.Code, p Params, buf *Buffers, st *Stats) int32 {
 	m := q.Len()
 	n := len(subject)
 	if m == 0 || n == 0 {
-		return 0, false
+		return 0
 	}
-	L := stripedLanes
-	t := (m + L - 1) / L
-	qr := int16(p.GapOpen + p.GapExtend)
-	r := int16(p.GapExtend)
-	qOnly := int16(p.GapOpen)
-
-	buf.striped = stripedProfile(q, buf.striped, t)
-	prof := buf.striped
-
-	// Striped state: two H column buffers (previous/current), E, and lane
-	// temporaries. Reuses the 16-bit scratch pools.
-	hPrev := grow16(&buf.h16, t*L)
-	hCur := grow16(&buf.e16, t*L)
-	eCol := grow16(&buf.hb16, t*L)
-	for i := range hPrev {
-		hPrev[i] = 0
-		eCol[i] = vec.MinI16
+	const L = vec.StripedLanes
+	t := stripes(m)
+	span := t * L
+	hLoad := grow16(&buf.sH0, span)
+	hStore := grow16(&buf.sH1, span)
+	e := grow16(&buf.sE, span)
+	maxv := vec.I16(grow16(&buf.sMax, L))
+	for i := range hLoad {
+		hLoad[i] = 0
+		e[i] = vec.MinI16
 	}
-	vH := make(vec.I16, L)
-	vF := make(vec.I16, L)
-	vMax := make(vec.I16, L)
-	vTmp := make(vec.I16, L)
-	vec.Set1(vMax, 0)
-
-	for j := 0; j < n; j++ {
-		pBase := int(subject[j]) * t * L
-		// Diagonal for stripe 0: last stripe of the previous column,
-		// shifted one lane up (query position k*t-1 lives in lane k-1).
-		vshift(vH, hPrev[(t-1)*L:t*L], 0)
-		vec.Set1(vF, vec.MinI16)
-		for i := 0; i < t; i++ {
-			hp := vec.I16(hPrev[i*L : (i+1)*L])
-			hc := vec.I16(hCur[i*L : (i+1)*L])
-			ev := vec.I16(eCol[i*L : (i+1)*L])
-			pv := vec.I16(prof[pBase+i*L : pBase+(i+1)*L])
-			// H = max(0, diag+score, E, F); track the maximum.
-			vec.AddSat(vH, vH, pv)
-			vec.Max(vH, vH, ev)
-			vec.Max(vH, vH, vF)
-			vec.MaxConst(vH, vH, 0)
-			vec.MaxInto(vMax, vH)
-			copy(hc, vH)
-			// E and F updates for the next column / next row.
-			vec.SubSatConst(vTmp, vH, qr)
-			vec.SubSatConst(ev, ev, r)
-			vec.Max(ev, ev, vTmp)
-			vec.SubSatConst(vF, vF, r)
-			vec.Max(vF, vF, vTmp)
-			// Next stripe's diagonal is this stripe of the previous
-			// column.
-			copy(vH, hp)
-		}
-
-		// Lazy-F: propagate query-direction gaps across segment
-		// boundaries. Each pass shifts F into the next segment and decays
-		// it along the stripes, improving H (and refreshing E) where it
-		// still wins. Farrar's termination test applies: once F <= H - q
-		// in every lane, any onward flow (F - r) is dominated by the
-		// H - q - r refreshes the main pass already propagated, so the
-		// column is done. F can cross at most L-1 boundaries, bounding
-		// the passes even with a zero extension penalty.
-	lazyF:
-		for pass := 0; pass < L; pass++ {
-			vshift(vF, vF, vec.MinI16)
-			for i := 0; i < t; i++ {
-				hc := vec.I16(hCur[i*L : (i+1)*L])
-				// Check against the pre-update H: once F <= H - q in
-				// every lane, F cannot improve this H, and its onward
-				// flow (F - r) is dominated by the H - q - r refresh the
-				// main pass already propagated from this unchanged H.
-				vec.SubSatConst(vTmp, hc, qOnly)
-				if !vec.AnyGT(vF, vTmp) {
-					break lazyF
-				}
-				vec.Max(hc, hc, vF)
-				vec.MaxInto(vMax, hc)
-				ev := vec.I16(eCol[i*L : (i+1)*L])
-				vec.SubSatConst(vTmp, hc, qr)
-				vec.Max(ev, ev, vTmp)
-				vec.SubSatConst(vF, vF, r)
-			}
-		}
-		hPrev, hCur = hCur, hPrev
+	vec.Set1(maxv, 0)
+	gapOpen, qr, r := int16(p.GapOpen), int16(p.GapOpen+p.GapExtend), int16(p.GapExtend)
+	for _, d := range subject {
+		col := prof[int(d)*span : int(d)*span+span]
+		vec.StepStriped16(hLoad, hStore, e, maxv, col, t, gapOpen, qr, r)
+		hLoad, hStore = hStore, hLoad
 	}
-
-	best := vec.HorizontalMax(vMax)
-	return int32(best), best == vec.MaxI16
-}
-
-// alignPairStripedLadder runs the striped kernel for one pair at the
-// requested first-pass precision, escalating on saturation — 8-bit striped
-// to 16-bit striped to the 32-bit anti-diagonal kernel — and folding the
-// per-tier escalation counts and recomputation cells into st.
-//
-//sw:hotpath
-func alignPairStripedLadder(q *profile.Query, subject []alphabet.Code, p Params, prec8 bool, buf *Buffers, st *Stats) int32 {
-	m := q.Len()
-	cells := int64(m) * int64(len(subject))
-	if prec8 {
-		s, sat8 := alignPairStriped8(q, subject, p, buf)
-		if !sat8 {
-			return s
-		}
-		st.Overflows8++
-		st.OverflowCells += cells
-	}
-	s, sat16 := alignPairStriped16(q, subject, p, buf)
-	if !sat16 {
-		return s
+	if best := vec.HorizontalMax(maxv); best < vec.MaxI16 {
+		return int32(best)
 	}
 	st.Overflows++
-	st.OverflowCells += cells
-	return alignPairIntra(q, subject, p, buf)
-}
-
-// stripedLanes8 is the byte-lane count of the 8-bit striped pass: the same
-// 256-bit register as stripedLanes, twice the lanes.
-const stripedLanes8 = 32
-
-// stripedProfile8 builds the biased uint8 striped query profile; padding
-// positions hold 0, the strongest representable penalty. Layout matches
-// stripedProfile. Only valid when q.Bias8Viable().
-//
-//sw:hotpath
-func stripedProfile8(q *profile.Query, dst []uint8, t int) []uint8 {
-	L := stripedLanes8
-	need := q.Width * t * L
-	if cap(dst) < need {
-		dst = make([]uint8, need)
-	}
-	dst = dst[:need]
-	m := q.Len()
-	for e := 0; e < q.Width; e++ {
-		row := q.Ext8[e*q.Width : (e+1)*q.Width]
-		base := e * t * L
-		for i := 0; i < t; i++ {
-			for k := 0; k < L; k++ {
-				p := k*t + i
-				if p < m {
-					dst[base+i*L+k] = row[q.Seq[p]]
-				} else {
-					dst[base+i*L+k] = 0
-				}
-			}
-		}
-	}
-	return dst
-}
-
-// vshiftU8 is vshift over byte lanes.
-func vshiftU8(dst, src vec.U8, boundary uint8) {
-	for k := len(src) - 1; k >= 1; k-- {
-		dst[k] = src[k-1]
-	}
-	dst[0] = boundary
-}
-
-// clampU8 clamps a non-negative penalty constant to the byte rail; a
-// saturating subtract of 255 always floors at zero, which is the correct
-// clamped value of any deeper penalty.
-func clampU8(v int) uint8 {
-	if v > vec.MaxU8 {
-		return vec.MaxU8
-	}
-	return uint8(v)
-}
-
-// alignPairStriped8 is the ladder's 8-bit striped pass: Farrar's layout
-// over unsigned byte lanes with biased scores, 32 lanes per 256-bit word.
-// H/E/F hold true cell values clamped at zero (see alignGroupIntrinsic8
-// for the soundness argument). The second return value reports biased-rail
-// saturation, in which case the caller escalates to the 16-bit striped
-// pass. Only valid when q.Bias8Viable().
-//
-//sw:hotpath
-func alignPairStriped8(q *profile.Query, subject []alphabet.Code, p Params, buf *Buffers) (int32, bool) {
-	m := q.Len()
-	n := len(subject)
-	if m == 0 || n == 0 {
-		return 0, false
-	}
-	L := stripedLanes8
-	t := (m + L - 1) / L
-	bias := q.Bias
-	qr := clampU8(p.GapOpen + p.GapExtend)
-	r := clampU8(p.GapExtend)
-	qOnly := clampU8(p.GapOpen)
-	safe := ladderSafe8(q, n)
-
-	buf.striped8 = stripedProfile8(q, buf.striped8, t)
-	prof := buf.striped8
-
-	hPrev := grow8(&buf.h8, t*L)
-	hCur := grow8(&buf.e8, t*L)
-	eCol := grow8(&buf.hb8, t*L)
-	for i := range hPrev {
-		hPrev[i] = 0
-		eCol[i] = 0
-	}
-	vH := make(vec.U8, L)
-	vF := make(vec.U8, L)
-	vMax := make(vec.U8, L)
-	vTmp := make(vec.U8, L)
-	vec.Set1U8(vMax, 0)
-
-	for j := 0; j < n; j++ {
-		pBase := int(subject[j]) * t * L
-		vshiftU8(vH, hPrev[(t-1)*L:t*L], 0)
-		vec.Set1U8(vF, 0)
-		for i := 0; i < t; i++ {
-			hp := vec.U8(hPrev[i*L : (i+1)*L])
-			hc := vec.U8(hCur[i*L : (i+1)*L])
-			ev := vec.U8(eCol[i*L : (i+1)*L])
-			pv := vec.U8(prof[pBase+i*L : pBase+(i+1)*L])
-			// H = max(diag+score, E, F) with the zero floor supplied by
-			// the unsigned clamp; track the maximum.
-			vec.AddSatU8(vH, vH, pv)
-			vec.SubSatU8Const(vH, vH, bias)
-			vec.MaxU8s(vH, vH, ev)
-			vec.MaxU8s(vH, vH, vF)
-			vec.MaxIntoU8(vMax, vH)
-			copy(hc, vH)
-			vec.SubSatU8Const(vTmp, vH, qr)
-			vec.SubSatU8Const(ev, ev, r)
-			vec.MaxU8s(ev, ev, vTmp)
-			vec.SubSatU8Const(vF, vF, r)
-			vec.MaxU8s(vF, vF, vTmp)
-			copy(vH, hp)
-		}
-
-		// Lazy-F over byte lanes; Farrar's termination test as in the
-		// 16-bit pass.
-	lazyF:
-		for pass := 0; pass < L; pass++ {
-			vshiftU8(vF, vF, 0)
-			for i := 0; i < t; i++ {
-				hc := vec.U8(hCur[i*L : (i+1)*L])
-				vec.SubSatU8Const(vTmp, hc, qOnly)
-				if !vec.AnyGTU8(vF, vTmp) {
-					break lazyF
-				}
-				vec.MaxU8s(hc, hc, vF)
-				vec.MaxIntoU8(vMax, hc)
-				ev := vec.U8(eCol[i*L : (i+1)*L])
-				vec.SubSatU8Const(vTmp, hc, qr)
-				vec.MaxU8s(ev, ev, vTmp)
-				vec.SubSatU8Const(vF, vF, r)
-			}
-		}
-		hPrev, hCur = hCur, hPrev
-	}
-
-	best := int32(vec.HorizontalMaxU8(vMax))
-	if safe {
-		return best, false
-	}
-	return best, best >= int32(vec.MaxU8)-int32(bias)
+	st.OverflowCells += int64(m) * int64(n)
+	h32 := grow32(&buf.h32, m+1)
+	e32 := grow32(&buf.e32, m+1)
+	return scalarLane(q, alphabet.BytesView(subject), 1, n, p, h32, e32)
 }

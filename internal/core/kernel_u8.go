@@ -39,6 +39,16 @@ func ladderSafe8(q *profile.Query, n int) bool {
 	return scoreBound(q, n)+int64(q.Bias) < vec.MaxU8
 }
 
+// clampU8 clamps a non-negative penalty constant to the byte rail; a
+// saturating subtract of 255 always floors at zero, which is the correct
+// clamped value of any deeper penalty.
+func clampU8(v int) uint8 {
+	if v > vec.MaxU8 {
+		return vec.MaxU8
+	}
+	return uint8(v)
+}
+
 // alignGroupIntrinsic8 is the ladder's first-pass kernel: the intrinsic
 // tile driver of alignGroupIntrinsic run over unsigned byte lanes with
 // biased scores. H, E and F hold true non-negative cell values clamped at
@@ -172,7 +182,7 @@ func alignGroupIntrinsic8(q *profile.Query, g *seqdb.LaneGroup, p Params, buf *B
 		}
 		st.Overflows++
 		st.OverflowCells += int64(M) * int64(g.Lens[l])
-		scores[l] = scalarLane(q, g, l, p, h32, e32)
+		scores[l] = scalarLane(q, g.Interleaved[l:], g.Lanes, g.Lens[l], p, h32, e32)
 	}
 	st.Cells = int64(M) * g.Residues
 	st.VecIters = int64(M) * int64(N)

@@ -9,6 +9,7 @@ import (
 	"heterosw/internal/seqdb"
 	"heterosw/internal/sequence"
 	"heterosw/internal/submat"
+	"heterosw/internal/vec"
 )
 
 // ladderParams returns intrinsic params with the 8-bit first pass enabled.
@@ -129,44 +130,43 @@ func TestScalarLane16(t *testing.T) {
 	}
 }
 
-// The striped ladder must match the 16-bit striped kernel (and the oracle)
-// on every tier, including the escalating ones.
+// An 8-bit ladder search routes long subjects to the 16-bit striped
+// kernel; it must match the oracle, and a pair beyond int16 must escalate
+// to 32 bits exactly once (there is no 8-bit tier on the long path).
 func TestStripedLadderMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
-	buf := NewBuffers(stripedLanes8)
+	buf := NewBuffers(vec.StripedLanes)
 	subjects := []*sequence.Sequence{
 		randProtein(rng, 40),
 		randProtein(rng, 500),
 		sequence.FromString("mid", strings.Repeat("W", 25)),
 		sequence.FromString("long", strings.Repeat("W", 3100)),
 	}
+	p := testParamsBase
+	p.Variant = IntrinsicSP
+	p.Prec = Prec8
 	for qi, qlen := range []int{30, 300} {
 		query := randProtein(rng, qlen)
 		q := profile.NewQuery(query.Residues, submat.BLOSUM62)
-		p := testParamsBase
-		p.Variant = IntrinsicSP
-		p.Prec = Prec8
+		prof := stripedProfile(q)
 		for si, s := range subjects {
 			var st Stats
-			got := alignPairStripedLadder(q, s.Residues, p, true, buf, &st)
+			got := alignPairLong(q, prof, s.Residues, p, buf, &st)
 			want := oracleScores(seqdb.New([]*sequence.Sequence{s}, true), query.Residues)[0]
 			if int(got) != want {
 				t.Fatalf("query %d subject %d: score %d, want %d", qi, si, got, want)
 			}
 		}
 	}
-	// The W self-alignments force both escalations.
+	// The W self-alignment (34,100 > int16) escalates once.
 	wq := sequence.FromString("q", strings.Repeat("W", 3100))
 	q := profile.NewQuery(wq.Residues, submat.BLOSUM62)
-	p := testParamsBase
-	p.Variant = IntrinsicSP
-	p.Prec = Prec8
 	var st Stats
-	if got := alignPairStripedLadder(q, wq.Residues, p, true, buf, &st); got != 11*3100 {
+	if got := alignPairLong(q, stripedProfile(q), wq.Residues, p, buf, &st); got != 11*3100 {
 		t.Fatalf("W-run score %d, want %d", got, 11*3100)
 	}
-	if st.Overflows8 != 1 || st.Overflows != 1 {
-		t.Fatalf("W-run escalations: Overflows8=%d Overflows=%d, want 1/1", st.Overflows8, st.Overflows)
+	if st.Overflows8 != 0 || st.Overflows != 1 {
+		t.Fatalf("W-run escalations: Overflows8=%d Overflows=%d, want 0/1", st.Overflows8, st.Overflows)
 	}
 }
 

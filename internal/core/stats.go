@@ -42,8 +42,8 @@ type Stats struct {
 	// recomputations, across both ladder tiers.
 	OverflowCells int64
 	// IntraCells counts cell updates performed by the intra-task
-	// (anti-diagonal) kernel that handles extremely long database
-	// sequences. They are also included in Cells.
+	// (striped) kernel that handles extremely long database sequences.
+	// They are also included in Cells.
 	IntraCells int64
 }
 

@@ -20,7 +20,7 @@
 //
 // Constants marked "fitted" in params.go were calibrated once against the
 // GCUPS values the paper states in its text and then frozen; everything
-// else is mechanistic. See DESIGN.md §6.
+// else is mechanistic.
 package device
 
 import (
@@ -82,8 +82,8 @@ type Shape struct {
 	Width    int
 	Lanes    int
 	Residues int64
-	// Intra marks a long-sequence chunk processed by the anti-diagonal
-	// intra-task kernel instead of the inter-task lane kernel.
+	// Intra marks a long-sequence chunk processed by the intra-task
+	// kernel instead of the inter-task lane kernel.
 	Intra bool
 }
 
@@ -127,11 +127,11 @@ type Model struct {
 	SeqCycles      float64 // per alignment finalisation
 	DispatchCycles float64 // per scheduler chunk dispatch
 
-	// IntraCellCycles is the per-cell cost of the intra-task
-	// (anti-diagonal) kernel that long database sequences are routed to
-	// (fitted). It is an order of magnitude below the scalar cost but
-	// above the per-lane inter-task cost, reflecting the wavefront's
-	// shift/gather overhead.
+	// IntraCellCycles is the per-cell cost of the intra-task kernel
+	// that long database sequences are routed to (fitted). It is an
+	// order of magnitude below the scalar cost but above the per-lane
+	// inter-task cost, reflecting the intra-task kernel's cross-lane
+	// shift and gap-propagation overhead.
 	IntraCellCycles float64
 
 	// Memory system.

@@ -48,7 +48,7 @@ func Xeon() *Model {
 		SeqCycles:      100,  // (fitted)
 		DispatchCycles: 250,  // (fitted) omp dynamic dequeue
 
-		IntraCellCycles: 3.0, // (fitted) anti-diagonal kernel for long sequences
+		IntraCellCycles: 3.0, // (fitted) intra-task kernel for long sequences
 
 		CachePerCore:     512 << 10, // 256 KiB L2 + 1.25 MiB L3 slice, derated for sharing
 		MemPenaltyCycles: 26,        // (fitted) Fig. 7 non-blocked degradation
@@ -89,7 +89,7 @@ func Phi() *Model {
 		SeqCycles:      300,  // (fitted)
 		DispatchCycles: 500,  // (fitted)
 
-		IntraCellCycles: 3.6, // (fitted) anti-diagonal kernel for long sequences
+		IntraCellCycles: 3.6, // (fitted) intra-task kernel for long sequences
 
 		CachePerCore:     512 << 10, // 512 KiB L2, no L3
 		MemPenaltyCycles: 60,        // (fitted) GDDR5 miss penalty, Fig. 7

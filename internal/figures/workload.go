@@ -8,8 +8,9 @@
 // Figures are computed over the synthetic Swiss-Prot workload at shape
 // level: the device cost models consume only lane-group geometry, so the
 // full 541,561-sequence database is simulated exactly without materialising
-// residues (see DESIGN.md). Functional score verification is exercised by
-// the engine tests and the swverify tool on smaller materialised databases.
+// residues (see internal/device). Functional score verification is
+// exercised by the engine tests and the swverify tool on smaller
+// materialised databases.
 package figures
 
 import (

@@ -397,6 +397,88 @@ func TestNativeBuildRows(t *testing.T) {
 	}
 }
 
+// stripedState is one randomized input to the striped step: the previous
+// column's H (cell values, some on the rail), E with the -inf rail, a
+// partial tracker, and a garbage hStore the step must overwrite.
+type stripedState struct {
+	hLoad, hStore, e, maxv I16
+}
+
+func randStriped(rng *rand.Rand, stripes int) *stripedState {
+	n := stripes * StripedLanes
+	s := &stripedState{
+		hLoad:  make(I16, n),
+		hStore: railsI16(rng, n),
+		e:      railsI16(rng, n),
+		maxv:   make(I16, StripedLanes),
+	}
+	for i := range s.hLoad {
+		s.hLoad[i] = int16(rng.Intn(MaxI16 + 1))
+		if rng.Intn(8) == 0 {
+			s.hLoad[i] = MaxI16
+		}
+	}
+	for l := range s.maxv {
+		s.maxv[l] = int16(rng.Intn(MaxI16 + 1))
+	}
+	return s
+}
+
+func (s *stripedState) clone() *stripedState {
+	return &stripedState{
+		hLoad:  append(I16(nil), s.hLoad...),
+		hStore: append(I16(nil), s.hStore...),
+		e:      append(I16(nil), s.e...),
+		maxv:   append(I16(nil), s.maxv...),
+	}
+}
+
+// TestNativeStepStriped16 pins the striped step's assembly against its
+// portable loop over several consecutive columns, at stripe counts from
+// one to many, with saturating profiles and lazy-F-heavy penalties: a
+// zero extend keeps F alive across every stripe, a zero open makes the
+// termination test as weak as it gets, and small random profile values
+// keep H low so F wins often.
+func TestNativeStepStriped16(t *testing.T) {
+	requireNative(t)
+	rng := rand.New(rand.NewSource(67))
+	for _, stripes := range []int{1, 2, 3, 7, 33} {
+		for trial := 0; trial < 40; trial++ {
+			gapOpen := int16(rng.Intn(100))
+			r := int16(rng.Intn(30))
+			switch trial % 4 {
+			case 1:
+				r = 0
+			case 2:
+				gapOpen, r = 0, 0
+			case 3:
+				gapOpen = 0
+			}
+			qr := gapOpen + r
+			native := randStriped(rng, stripes)
+			generic := native.clone()
+			for col := 0; col < 5; col++ {
+				prof := railsI16(rng, stripes*StripedLanes)
+				if trial%2 == 0 {
+					for i := range prof {
+						prof[i] = int16(rng.Intn(23) - 11)
+					}
+				}
+				stepStriped16(&native.hLoad[0], &native.hStore[0], &native.e[0], &native.maxv[0],
+					&prof[0], stripes, int(gapOpen), int(qr), int(r))
+				stepStriped16Generic(generic.hLoad, generic.hStore, generic.e, generic.maxv,
+					prof, stripes, gapOpen, qr, r)
+				eqI16(t, "stepStriped16 hStore", native.hStore, generic.hStore)
+				eqI16(t, "stepStriped16 e", native.e, generic.e)
+				eqI16(t, "stepStriped16 maxv", native.maxv, generic.maxv)
+				eqI16(t, "stepStriped16 hLoad", native.hLoad, generic.hLoad)
+				native.hLoad, native.hStore = native.hStore, native.hLoad
+				generic.hLoad, generic.hStore = generic.hStore, generic.hLoad
+			}
+		}
+	}
+}
+
 // TestDispatchFallbacks pins the dispatch rules: odd lane counts and the
 // portable override always take the generic path (observable because the
 // exported wrappers agree with the generics everywhere).
@@ -443,4 +525,15 @@ func TestForcedPortableParityExported(t *testing.T) {
 	AddSatU8(portu, au, bu)
 	ForcePortable(prev)
 	eqU8(t, "AddSatU8 backends", natu, portu)
+
+	st := randStriped(rng, 3)
+	port16 := st.clone()
+	prof := railsI16(rng, 3*StripedLanes)
+	StepStriped16(st.hLoad, st.hStore, st.e, st.maxv, prof, 3, 10, 12, 2)
+	prev = ForcePortable(true)
+	StepStriped16(port16.hLoad, port16.hStore, port16.e, port16.maxv, prof, 3, 10, 12, 2)
+	ForcePortable(prev)
+	eqI16(t, "StepStriped16 backends hStore", st.hStore, port16.hStore)
+	eqI16(t, "StepStriped16 backends e", st.e, port16.e)
+	eqI16(t, "StepStriped16 backends maxv", st.maxv, port16.maxv)
 }

@@ -33,6 +33,10 @@ package vec
 // last table row; they dispatch only when the table's backing array has
 // the spare capacity (internal/profile over-allocates its tables for
 // exactly this), and fall back to the portable loops otherwise.
+//
+// StepStriped16, at the end of the file, is the intra-task counterpart
+// for one long subject: the query is striped across the lanes instead of
+// the subjects, so it has its own layout, documented on it.
 
 // StepCol16SP advances one database column of the 16-bit score-profile
 // kernel. score is the column's score-row table (stride lanes) and seq the
@@ -352,4 +356,105 @@ func buildRows8Generic(dst, table, idx []uint8, nrows, lanes, stride int) {
 			dst[e*lanes+l] = src[e*stride]
 		}
 	}
+}
+
+// StripedLanes is the lane count of the striped long-sequence step: one
+// 256-bit register of int16 elements.
+const StripedLanes = 16
+
+// StepStriped16 advances the striped (Farrar) single-pair kernel by one
+// subject column. The query of length m is laid out in t = ceil(m/16)
+// stripes: lane k of stripe i holds query position k*t + i, so stripe i's
+// state is the 16-element vector at [i*16 : (i+1)*16] of each array.
+//
+//   - prof holds the t stripe vectors of the column residue's scores,
+//     padding positions (>= m) scoring strongly negative.
+//   - hLoad is the previous column's H (read only), hStore receives this
+//     column's H; the caller swaps them between columns.
+//   - e is the subject-direction gap state, updated in place.
+//   - maxv is the 16-lane running score maximum.
+//   - gapOpen, qr and r are the open, open+extend and extend penalties
+//     (qr <= 16384, as for the column steps above).
+//
+// One call runs the main pass over every stripe and then the lazy-F
+// pass, which carries query-direction gaps across stripe boundaries: the
+// main pass assumes no F flows from lane k-1's last stripe into lane k's
+// first, and each lazy pass shifts F one lane up and decays it down the
+// stripes, raising H (and refreshing E) where it still wins. It stops at
+// the first stripe where F <= H - gapOpen in every lane — Farrar's test:
+// such an F neither raises that H nor carries anything beyond the
+// H - qr refresh already propagated from it — and after at most 16
+// passes, since F crosses at most 15 lane boundaries. H, E, F and maxv
+// saturate exactly as the per-op primitives in vec.go do; a maxv lane
+// reaching MaxI16 means the score may have clipped.
+func StepStriped16(hLoad, hStore, e, maxv I16, prof []int16, t int, gapOpen, qr, r int16) {
+	n := t * StripedLanes
+	if t <= 0 || len(hLoad) < n || len(hStore) < n || len(e) < n || len(prof) < n || len(maxv) < StripedLanes {
+		panic("vec: StepStriped16 operand shorter than t stripes")
+	}
+	if native16(StripedLanes) {
+		stepStriped16(&hLoad[0], &hStore[0], &e[0], &maxv[0], &prof[0], t, int(gapOpen), int(qr), int(r))
+		return
+	}
+	stepStriped16Generic(hLoad, hStore, e, maxv, prof, t, gapOpen, qr, r)
+}
+
+//sw:hotpath
+func stepStriped16Generic(hLoad, hStore, e, maxv I16, prof []int16, t int, gapOpen, qr, r int16) {
+	const L = StripedLanes
+	var vH, vF, vMax [L]int16
+	copy(vMax[:], maxv)
+	// Stripe 0's diagonal is the previous column's last stripe shifted one
+	// lane up: lane k-1 of stripe t-1 holds query position k*t - 1.
+	last := hLoad[(t-1)*L : t*L]
+	for k := L - 1; k > 0; k-- {
+		vH[k] = last[k-1]
+	}
+	for k := range vF {
+		vF[k] = MinI16
+	}
+	for i := 0; i < t; i++ {
+		pv := prof[i*L : (i+1)*L]
+		ev := e[i*L : (i+1)*L]
+		hs := hStore[i*L : (i+1)*L]
+		hl := hLoad[i*L : (i+1)*L]
+		for k := 0; k < L; k++ {
+			h := sat(int32(vH[k]) + int32(pv[k]))
+			h = max(h, ev[k], vF[k], 0)
+			vMax[k] = max(vMax[k], h)
+			hs[k] = h
+			u := sat(int32(h) - int32(qr))
+			ev[k] = max(sat(int32(ev[k])-int32(r)), u)
+			vF[k] = max(sat(int32(vF[k])-int32(r)), u)
+			vH[k] = hl[k]
+		}
+	}
+	for pass := 0; pass < L; pass++ {
+		for k := L - 1; k > 0; k-- {
+			vF[k] = vF[k-1]
+		}
+		vF[0] = MinI16
+		for i := 0; i < t; i++ {
+			hs := hStore[i*L : (i+1)*L]
+			live := false
+			for k := 0; k < L; k++ {
+				if vF[k] > sat(int32(hs[k])-int32(gapOpen)) {
+					live = true
+				}
+			}
+			if !live {
+				copy(maxv, vMax[:])
+				return
+			}
+			ev := e[i*L : (i+1)*L]
+			for k := 0; k < L; k++ {
+				h := max(hs[k], vF[k])
+				hs[k] = h
+				vMax[k] = max(vMax[k], h)
+				ev[k] = max(ev[k], sat(int32(h)-int32(qr)))
+				vF[k] = sat(int32(vF[k]) - int32(r))
+			}
+		}
+	}
+	copy(maxv, vMax[:])
 }

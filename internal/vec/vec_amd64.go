@@ -126,3 +126,6 @@ func buildRows16(dst, table *int16, idx *uint8, nrows, lanes, stride int)
 
 //go:noescape
 func buildRows8(dst, table, idx *uint8, nrows, lanes, stride int)
+
+//go:noescape
+func stepStriped16(hLoad, hStore, e, maxv, prof *int16, t, gapOpen, qr, r int)

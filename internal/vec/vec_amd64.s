@@ -811,3 +811,91 @@ rowloop:
 	JLT  strip
 	VZEROUPPER
 	RET
+
+// func stepStriped16(hLoad, hStore, e, maxv, prof *int16, t, gapOpen, qr, r int)
+//
+// One subject column of the striped single-pair kernel (see
+// StepStriped16). Register plan: Y0 H, Y1 F, Y2 maxv, Y3 qr, Y4 r,
+// Y5 zero, Y6 scratch, Y7 gapOpen, Y8 E, Y9 MinI16 in lane 0 only.
+// SI/DI/DX/R8 walk hLoad/hStore/e/prof by the stripe byte offset AX;
+// CX is t*32, the array length in bytes. The one-lane (one-word) shift
+// across the 128-bit halves is VPERM2I128 (low half moved up, zeros
+// below) then VPALIGNR by 14 bytes; the vacated lane 0 reads zero, the
+// H boundary, and F ORs in MinI16 from Y9. Constants enter the vector
+// registers through VEX-encoded VMOVQ: a legacy-SSE MOVQ after the first
+// 256-bit write mixes SSE and AVX state, which measured ~300 ns per call
+// on a 2-core Xeon host, ten times the column's own work at t = 9.
+TEXT ·stepStriped16(SB), NOSPLIT, $0-72
+	MOVQ hLoad+0(FP), SI
+	MOVQ hStore+8(FP), DI
+	MOVQ e+16(FP), DX
+	MOVQ maxv+24(FP), BX
+	MOVQ prof+32(FP), R8
+	MOVQ t+40(FP), CX
+	SHLQ $5, CX
+	MOVQ gapOpen+48(FP), AX
+	VMOVQ AX, X7
+	VPBROADCASTW X7, Y7
+	MOVQ qr+56(FP), AX
+	VMOVQ AX, X3
+	VPBROADCASTW X3, Y3
+	MOVQ r+64(FP), AX
+	VMOVQ AX, X4
+	VPBROADCASTW X4, Y4
+	VPXOR Y5, Y5, Y5
+	MOVQ $0x8000, AX
+	VMOVQ AX, X9              // VEX form: zeroes the rest of Y9
+	VPBROADCASTW X9, Y1       // F = MinI16 in every lane
+	VMOVDQU (BX), Y2
+	VMOVDQU -32(SI)(CX*1), Y0 // last stripe of the previous column
+	VPERM2I128 $0x08, Y0, Y0, Y6
+	VPALIGNR $14, Y6, Y0, Y0  // shifted one lane up: stripe 0's diagonal
+	XORQ AX, AX
+main:
+	VPADDSW (R8)(AX*1), Y0, Y0 // diag + score, saturating
+	VMOVDQU (DX)(AX*1), Y8     // E
+	VPMAXSW Y8, Y0, Y0
+	VPMAXSW Y1, Y0, Y0
+	VPMAXSW Y5, Y0, Y0         // clamp at zero
+	VPMAXSW Y0, Y2, Y2         // score tracker
+	VMOVDQU Y0, (DI)(AX*1)
+	VPSUBSW Y3, Y0, Y0         // H - qr
+	VPSUBSW Y4, Y8, Y8         // E - r
+	VPMAXSW Y0, Y8, Y8
+	VMOVDQU Y8, (DX)(AX*1)
+	VPSUBSW Y4, Y1, Y1         // F - r
+	VPMAXSW Y0, Y1, Y1
+	VMOVDQU (SI)(AX*1), Y0     // next stripe's diagonal
+	ADDQ $32, AX
+	CMPQ AX, CX
+	JLT  main
+
+	MOVQ $16, R10             // lazy-F pass bound
+lazy:
+	VPERM2I128 $0x08, Y1, Y1, Y6
+	VPALIGNR $14, Y6, Y1, Y1
+	VPOR Y9, Y1, Y1           // F shifted one lane up, MinI16 into lane 0
+	XORQ AX, AX
+lazystripe:
+	VMOVDQU (DI)(AX*1), Y0
+	VPSUBSW Y7, Y0, Y6        // H - gapOpen
+	VPCMPGTW Y6, Y1, Y6       // F > H - gapOpen
+	VPMOVMSKB Y6, R11
+	TESTL R11, R11
+	JZ   done
+	VPMAXSW Y1, Y0, Y0
+	VPMAXSW Y0, Y2, Y2
+	VMOVDQU Y0, (DI)(AX*1)
+	VPSUBSW Y3, Y0, Y0        // H - qr refreshes E
+	VPMAXSW (DX)(AX*1), Y0, Y0
+	VMOVDQU Y0, (DX)(AX*1)
+	VPSUBSW Y4, Y1, Y1
+	ADDQ $32, AX
+	CMPQ AX, CX
+	JLT  lazystripe
+	DECQ R10
+	JNZ  lazy
+done:
+	VMOVDQU Y2, (BX)
+	VZEROUPPER
+	RET

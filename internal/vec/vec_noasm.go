@@ -43,3 +43,6 @@ func stepCol8QP(h, e, f, diag, maxv *uint8, qp *uint8, stride int, col *uint8, r
 }
 func buildRows16(dst, table *int16, idx *uint8, nrows, lanes, stride int) { panic("vec: no asm") }
 func buildRows8(dst, table, idx *uint8, nrows, lanes, stride int)         { panic("vec: no asm") }
+func stepStriped16(hLoad, hStore, e, maxv, prof *int16, t, gapOpen, qr, r int) {
+	panic("vec: no asm")
+}
